@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Defaults: `scripts/perf_gates.toml` and the workspace root (both
-//! resolved via [`socsense_bench::workspace_root`], so invoking the
+//! resolved via [`socsense_lint::workspace_root`], so invoking the
 //! binary from a crate subdirectory checks the same files). Exits
 //! non-zero when any gate fails *or* any gated measurement is missing —
 //! a bench that silently stopped emitting a number must not pass.
@@ -16,7 +16,7 @@
 use std::process::ExitCode;
 
 use socsense_bench::gate::{evaluate, parse_gates, render};
-use socsense_bench::workspace_root;
+use socsense_lint::workspace_root;
 
 fn run() -> Result<bool, String> {
     let root = workspace_root();

@@ -55,10 +55,15 @@ pub struct GateOutcome {
 ///
 /// A human-readable message naming the offending line for anything
 /// outside the subset: unknown keys, non-`[[gate]]` tables, bad
-/// literals, or a gate missing `name`/`file`/`path` or both bounds.
+/// literals, a key repeated within one gate (a second `min` would
+/// otherwise silently override the first, so a loosening could pass
+/// review as an added line), a gate name used twice, or a gate missing
+/// `name`/`file`/`path` or both bounds.
 pub fn parse_gates(text: &str) -> Result<Vec<Gate>, String> {
     let mut gates: Vec<Gate> = Vec::new();
     let mut open = false;
+    // Keys already set in the open gate.
+    let mut seen: Vec<&str> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
         let line = raw.trim();
@@ -74,6 +79,7 @@ pub fn parse_gates(text: &str) -> Result<Vec<Gate>, String> {
                 max: None,
             });
             open = true;
+            seen.clear();
             continue;
         }
         if line.starts_with('[') {
@@ -85,8 +91,12 @@ pub fn parse_gates(text: &str) -> Result<Vec<Gate>, String> {
         if !open {
             return Err(format!("line {lineno}: key before the first [[gate]]"));
         }
-        let gate = gates.last_mut().expect("open implies a gate exists");
         let (key, value) = (key.trim(), value.trim());
+        if seen.contains(&key) {
+            return Err(format!("line {lineno}: `{key}` set twice in one [[gate]]"));
+        }
+        seen.push(key);
+        let (gate, earlier) = gates.split_last_mut().expect("open implies a gate exists");
         match key {
             "name" | "file" | "path" => {
                 let s = value
@@ -94,6 +104,9 @@ pub fn parse_gates(text: &str) -> Result<Vec<Gate>, String> {
                     .and_then(|v| v.strip_suffix('"'))
                     .ok_or_else(|| format!("line {lineno}: {key} takes a quoted string"))?;
                 match key {
+                    "name" if earlier.iter().any(|g| g.name == s) => {
+                        return Err(format!("line {lineno}: duplicate gate name `{s}`"));
+                    }
                     "name" => gate.name = s.to_string(),
                     "file" => gate.file = s.to_string(),
                     _ => gate.path = s.to_string(),
@@ -249,6 +262,26 @@ max = 0.25
         assert!(parse_gates("[[gate]]\nname = \"x\"\nfile = \"f\"\npath = \"p\"").is_err());
         assert!(parse_gates("[[gate]]\nwat = 3").is_err());
         assert!(parse_gates("[[gate]]\nmin = \"nope\"").is_err());
+
+        // A second bound, file or path in one gate must not silently
+        // override the first: the last gate in GATES already has them.
+        for key in ["max = 99.0", "file = \"c.json\"", "path = \"x.y\""] {
+            let text = format!("{GATES}{key}\n");
+            let err = parse_gates(&text).unwrap_err();
+            let line = format!("line {}:", text.lines().count());
+            assert!(err.starts_with(&line) && err.contains("set twice"), "{err}");
+        }
+        let err = parse_gates("[[gate]]\nname = \"x\"\nmin = 2.0\nmin = 0.5").unwrap_err();
+        assert_eq!(err, "line 4: `min` set twice in one [[gate]]");
+
+        // Gate names are unique within the file.
+        let dup = format!("{GATES}\n[[gate]]\nname = \"speedup\"\nfile = \"c.json\"\n");
+        let err = parse_gates(&dup).unwrap_err();
+        assert!(err.contains("duplicate gate name `speedup`"), "{err}");
+        assert!(
+            err.starts_with(&format!("line {}:", dup.lines().count() - 1)),
+            "{err}"
+        );
     }
 
     #[test]

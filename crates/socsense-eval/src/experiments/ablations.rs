@@ -1,7 +1,8 @@
 //! Accuracy-side ablations for the design choices DESIGN.md documents.
 //!
-//! Timing ablations live in the `socsense-bench` crate; these measure
-//! what each choice *buys*:
+//! Timing ablations live in `socsense-bench` (`bench ablations`, which
+//! writes `BENCH_ablations.json`); these measure what each choice
+//! *buys*:
 //!
 //! * **M-step shrinkage** — synthetic accuracy across pseudo-counts;
 //! * **Initialisation** — the neutral-vs-dep-biased basin question on

@@ -5,7 +5,7 @@
 //! ```
 //!
 //! Scans the workspace (root resolved via
-//! [`socsense_bench::workspace_root`], so the binary agrees with the
+//! [`socsense_lint::workspace_root`], so the binary agrees with the
 //! perf-gate tooling when invoked from a crate subdirectory), prints
 //! findings as `file:line: rule(id): message` (or one JSON object with
 //! `--format json`), and exits `1` on any unsuppressed finding, `2` on
@@ -37,7 +37,7 @@ fn run() -> Result<bool, String> {
             other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    let root = root.unwrap_or_else(socsense_bench::workspace_root);
+    let root = root.unwrap_or_else(socsense_lint::workspace_root);
     let report = scan_workspace(&root)?;
     if format == "json" {
         print!("{}", render_json(&report));

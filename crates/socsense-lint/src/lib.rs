@@ -38,8 +38,9 @@
 //! An empty justification is itself an error. See `DESIGN.md` §9 for
 //! the rule catalogue and the relation to the runtime bit-identity
 //! tests and to the Miri/loom CI lanes, and [`rules`]/[`flow`] for
-//! the per-rule details. The `bench_lint` binary times the full scan
-//! for the `lint-throughput` perf gate.
+//! the per-rule details. The `lint` section of `socsense-bench`'s
+//! `bench` binary times the full scan for the `lint-throughput` perf
+//! gate.
 //!
 //! The `detlint` binary exits nonzero on any unsuppressed finding:
 //!
@@ -61,4 +62,4 @@ pub mod scan;
 pub mod tree;
 
 pub use rules::{check_file, declared_contract, Contract, FileInput, Finding};
-pub use scan::{scan_workspace, Report};
+pub use scan::{scan_workspace, workspace_root, Report};

@@ -37,6 +37,40 @@ impl Report {
     }
 }
 
+/// Absolute path of the workspace root, shared by every tool that
+/// resolves repo-relative paths: `detlint --workspace` (the scan set),
+/// the `perf_gate` checker (gates file and default results dir), and
+/// the `bench` binary (default `BENCH_*.json` destination). One helper
+/// keeps them in agreement when invoked from a crate subdirectory
+/// instead of the root.
+///
+/// Resolution order:
+///
+/// 1. the nearest ancestor of the current directory whose `Cargo.toml`
+///    declares `[workspace]` — so running a tool from
+///    `crates/socsense-core/` finds the same root as running it from
+///    the checkout top;
+/// 2. otherwise the workspace this crate was compiled from
+///    (`CARGO_MANIFEST_DIR/../..`), which covers invocations from
+///    outside any checkout (e.g. an absolute-path binary run from `/`).
+pub fn workspace_root() -> PathBuf {
+    if let Ok(cwd) = std::env::current_dir() {
+        for dir in cwd.ancestors() {
+            let manifest = dir.join("Cargo.toml");
+            if let Ok(text) = std::fs::read_to_string(&manifest) {
+                if text.lines().any(|l| l.trim() == "[workspace]") {
+                    return dir.to_path_buf();
+                }
+            }
+        }
+    }
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crate manifest dir has a workspace two levels up")
+        .to_path_buf()
+}
+
 fn contract_name(c: Contract) -> &'static str {
     match c {
         Contract::Deterministic => "deterministic",
@@ -161,4 +195,22 @@ pub fn scan_workspace(root: &Path) -> Result<Report, String> {
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn workspace_root_agrees_from_subdirectories() {
+        // The test process runs somewhere inside the checkout, so the
+        // ancestor walk must find the directory that declares the
+        // workspace and contains this crate.
+        let root = workspace_root();
+        assert!(root.join("Cargo.toml").exists(), "{root:?}");
+        assert!(
+            root.join("crates/socsense-lint/Cargo.toml").exists(),
+            "{root:?} is not the workspace root"
+        );
+    }
 }
