@@ -213,6 +213,74 @@ impl ClusterTracker {
         })
     }
 
+    /// A tracker holding exactly the given clusters, each as `(sources,
+    /// assertions)` member lists — the inverse of
+    /// [`clusters`](Self::clusters). Its answers on further batches are
+    /// those of the tracker the lists came from: which union-find root
+    /// represents a cluster is never observable, only its key (the
+    /// smallest member assertion) and its members are.
+    ///
+    /// # Errors
+    ///
+    /// Those of [`new`](Self::new); [`SenseError::BadConfig`] when a
+    /// member list is empty or not strictly ascending, or when two
+    /// clusters share a source or an assertion;
+    /// [`SenseError::DimensionMismatch`] for an out-of-range id.
+    pub fn from_clusters<'a>(
+        n: u32,
+        m: u32,
+        graph: FollowerGraph,
+        clusters: impl IntoIterator<Item = (&'a [u32], &'a [u32])>,
+    ) -> Result<Self, SenseError> {
+        let mut tracker = Self::new(n, m, graph)?;
+        for (sources, assertions) in clusters {
+            let ascending = |xs: &[u32]| !xs.is_empty() && xs.windows(2).all(|w| w[0] < w[1]);
+            if !ascending(sources) || !ascending(assertions) {
+                return Err(SenseError::BadConfig {
+                    what: "cluster member lists must be non-empty and strictly ascending",
+                });
+            }
+            for (ids, bound, what) in [
+                (sources, n, "cluster source id vs n"),
+                (assertions, m, "cluster assertion id vs m"),
+            ] {
+                if let Some(&last) = ids.last().filter(|&&id| id >= bound) {
+                    return Err(SenseError::DimensionMismatch {
+                        what,
+                        expected: bound as usize,
+                        actual: last as usize,
+                    });
+                }
+            }
+            let key = assertions[0];
+            for &j in assertions {
+                if std::mem::replace(&mut tracker.tracked[j as usize], true) {
+                    return Err(SenseError::BadConfig {
+                        what: "two clusters share an assertion",
+                    });
+                }
+                tracker.uf.union(key, j);
+            }
+            for &s in sources {
+                if tracker.anchor[s as usize].replace(key).is_some() {
+                    return Err(SenseError::BadConfig {
+                        what: "two clusters share a source",
+                    });
+                }
+            }
+            tracker.root_key.insert(tracker.uf.find(key), key);
+            tracker.members.insert(
+                key,
+                ClusterMembers {
+                    key,
+                    assertions: assertions.to_vec(),
+                    sources: sources.to_vec(),
+                },
+            );
+        }
+        Ok(tracker)
+    }
+
     /// Number of sources.
     pub fn source_count(&self) -> u32 {
         self.anchor.len() as u32
@@ -607,6 +675,36 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, SenseError::DimensionMismatch { .. }));
         assert_eq!(tracker.cluster_count(), 0, "bad batch must not land");
+    }
+
+    #[test]
+    fn tracker_from_clusters_rejects_malformed_member_lists() {
+        let build = |lists: &[(&[u32], &[u32])]| {
+            ClusterTracker::from_clusters(4, 6, FollowerGraph::new(4), lists.iter().copied())
+        };
+        let ok = build(&[(&[0, 1], &[0, 3]), (&[2], &[4])]).unwrap();
+        assert_eq!(ok.cluster_count(), 2);
+        assert_eq!(ok.members(4).unwrap().sources(), &[2]);
+        for bad in [
+            &[(&[0u32][..], &[][..])][..],
+            &[(&[1, 0], &[0])],
+            &[(&[0], &[2, 2])],
+            &[(&[0], &[0]), (&[0], &[1])],
+            &[(&[0], &[0]), (&[1], &[0])],
+        ] {
+            assert!(
+                matches!(build(bad), Err(SenseError::BadConfig { .. })),
+                "{bad:?}"
+            );
+        }
+        assert!(matches!(
+            build(&[(&[4], &[0])]),
+            Err(SenseError::DimensionMismatch { .. })
+        ));
+        assert!(matches!(
+            build(&[(&[0], &[6])]),
+            Err(SenseError::DimensionMismatch { .. })
+        ));
     }
 
     #[test]

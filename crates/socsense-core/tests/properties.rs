@@ -5,8 +5,9 @@ use proptest::prelude::*;
 use socsense_core::{
     assertion_posteriors, assertion_posteriors_with, bound_for_assertions_with, bound_for_data,
     data_log_likelihood, data_log_likelihood_with, exact_bound, gibbs_bound, BoundMethod,
-    ClaimData, EmConfig, EmExt, GibbsConfig, Parallelism, SourceParams, Theta,
+    ClaimData, ClusterTracker, EmConfig, EmExt, GibbsConfig, Parallelism, SourceParams, Theta,
 };
+use socsense_graph::{FollowerGraph, TimedClaim};
 use socsense_matrix::SparseBinaryMatrix;
 
 /// The levels every deterministic-parallelism property compares against
@@ -219,6 +220,58 @@ proptest! {
                 serial.false_negative.to_bits(),
                 threaded.false_negative.to_bits()
             );
+        }
+    }
+
+    /// A tracker rebuilt from another's `clusters()` member lists is
+    /// indistinguishable from it on every further batch: same
+    /// `ClusterUpdate`s, same members, same key per assertion, same
+    /// active sources — whichever union-find roots each one holds.
+    #[test]
+    fn tracker_rebuilt_from_its_clusters_behaves_identically(
+        (n, m) in (2u32..9, 2u32..12),
+        follows in vec((0u32..9, 0u32..9), 0..8),
+        claims in vec((0u32..9, 0u32..12), 1..40),
+        cut in 0usize..40,
+        batch in 1usize..6,
+    ) {
+        let mut graph = FollowerGraph::new(n);
+        for (f, a) in follows {
+            let (f, a) = (f % n, a % n);
+            if f != a {
+                graph.add_follow(f, a);
+            }
+        }
+        let stream: Vec<TimedClaim> = claims
+            .iter()
+            .enumerate()
+            .map(|(t, &(s, j))| TimedClaim::new(s % n, j % m, t as u64))
+            .collect();
+        let (prefix, suffix) = stream.split_at(cut.min(stream.len()));
+        let mut original = ClusterTracker::new(n, m, graph.clone()).unwrap();
+        for b in prefix.chunks(batch) {
+            original.ingest(b).unwrap();
+        }
+        let lists: Vec<(Vec<u32>, Vec<u32>)> = original
+            .clusters()
+            .map(|c| (c.sources().to_vec(), c.assertions().to_vec()))
+            .collect();
+        let mut rebuilt = ClusterTracker::from_clusters(
+            n,
+            m,
+            graph,
+            lists.iter().map(|(s, a)| (s.as_slice(), a.as_slice())),
+        )
+        .unwrap();
+        let observe = |t: &mut ClusterTracker| {
+            let keys: Vec<Option<u32>> = (0..m).map(|j| t.cluster_key_of(j)).collect();
+            let active: Vec<bool> = (0..n).map(|i| t.is_active_source(i)).collect();
+            (t.clusters().cloned().collect::<Vec<_>>(), keys, active)
+        };
+        prop_assert_eq!(observe(&mut rebuilt), observe(&mut original));
+        for b in suffix.chunks(batch) {
+            prop_assert_eq!(rebuilt.ingest(b).unwrap(), original.ingest(b).unwrap());
+            prop_assert_eq!(observe(&mut rebuilt), observe(&mut original));
         }
     }
 }

@@ -21,9 +21,10 @@
 //!   tmp-then-rename with `fsync` on both file and directory, so a
 //!   snapshot is either completely present or absent. [`SnapshotStore::latest`]
 //!   walks candidates newest-first and returns the first valid one,
-//!   making a snapshot that was torn mid-write (impossible via this
+//!   making a snapshot that was damaged on disk (impossible via this
 //!   writer, but possible via external truncation) recoverable by
-//!   falling back to its predecessor.
+//!   falling back to its predecessor. It only reads: a damaged file is
+//!   left in place as evidence.
 //!
 //! Everything is deterministic: record bytes are a pure function of the
 //! serialized payload (no timestamps, no randomness), and recovery
@@ -41,4 +42,4 @@ mod wal;
 pub use crc::crc32;
 pub use error::PersistError;
 pub use snapshot::SnapshotStore;
-pub use wal::{recover, rewrite_atomic, Recovery, WalWriter};
+pub use wal::{recover, Recovery, WalWriter};

@@ -5,7 +5,7 @@ use std::path::{Path, PathBuf};
 use serde::{Deserialize, Serialize};
 
 use crate::error::PersistError;
-use crate::wal::rewrite_atomic;
+use crate::wal::{decode_line, rewrite_atomic};
 
 /// A directory of checkpoint files, one per snapshot sequence number.
 ///
@@ -85,23 +85,28 @@ impl SnapshotStore {
 
     /// The newest valid snapshot, if any: `(seq, payload)`.
     ///
-    /// Files that fail validation (torn by external interference,
-    /// unparseable) are skipped in favour of the next-newest candidate.
+    /// Files that fail validation (damaged by external interference,
+    /// unparseable, written in another format) are skipped in favour of
+    /// the next-newest candidate. A snapshot is written atomically, so a
+    /// failing file is damage, never a torn append: it is read only and
+    /// left on disk untouched, as evidence.
     ///
     /// # Errors
     ///
-    /// [`PersistError::Io`] on filesystem failures while listing.
+    /// [`PersistError::Io`] on filesystem failures.
     pub fn latest<T: Deserialize>(&self) -> Result<Option<(u64, T)>, PersistError> {
         for &seq in self.sequences()?.iter().rev() {
             let path = self.path_of(seq);
-            match crate::wal::recover::<T>(&path) {
-                Ok(rx) => {
-                    if let Some(payload) = rx.records.into_iter().next() {
-                        return Ok(Some((seq, payload)));
-                    }
-                }
-                Err(PersistError::Corrupt { .. }) => continue,
-                Err(e) => return Err(e),
+            let bytes = match std::fs::read(&path) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+                Err(e) => return Err(PersistError::io(&path, "read", e)),
+            };
+            let payload = bytes
+                .strip_suffix(b"\n")
+                .and_then(|line| decode_line::<T>(line).ok());
+            if let Some(payload) = payload {
+                return Ok(Some((seq, payload)));
             }
         }
         Ok(None)
@@ -187,6 +192,17 @@ mod tests {
         let (seq, payload) = store.latest::<Snap>().unwrap().unwrap();
         assert_eq!(seq, 1);
         assert_eq!(payload, snap(1));
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            bytes,
+            "the damaged file stays on disk byte for byte"
+        );
+        // A file cut short (no final newline) is skipped the same way.
+        let path1 = dir.join(format!("snapshot-{:020}.json", 1));
+        let whole = std::fs::read(&path1).unwrap();
+        std::fs::write(&path1, &whole[..whole.len() - 1]).unwrap();
+        assert!(store.latest::<Snap>().unwrap().is_none());
+        assert_eq!(std::fs::read(&path1).unwrap(), &whole[..whole.len() - 1]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -24,7 +24,7 @@ fn encode_line<T: Serialize>(record: &T) -> Vec<u8> {
 }
 
 /// Parses and validates one line (without trailing newline).
-fn decode_line<T: Deserialize>(line: &[u8]) -> Result<T, &'static str> {
+pub(crate) fn decode_line<T: Deserialize>(line: &[u8]) -> Result<T, &'static str> {
     if line.len() < 10 || line[8] != b' ' {
         return Err("malformed record framing");
     }
@@ -131,7 +131,7 @@ pub fn recover<T: Deserialize>(path: &Path) -> Result<Recovery<T>, PersistError>
 /// # Errors
 ///
 /// [`PersistError::Io`] on filesystem failures.
-pub fn rewrite_atomic<T: Serialize>(path: &Path, records: &[T]) -> Result<(), PersistError> {
+pub(crate) fn rewrite_atomic<T: Serialize>(path: &Path, records: &[T]) -> Result<(), PersistError> {
     let tmp = tmp_sibling(path);
     {
         let mut file = File::create(&tmp).map_err(|e| PersistError::io(&tmp, "create", e))?;

@@ -137,12 +137,13 @@ pub enum ServeError {
     /// state may be ahead of disk once this is returned; treat the
     /// `data_dir` as suspect.
     Persist(String),
-    /// A sharded ingest epoch failed after the WAL append but before
-    /// the shard fan-out completed (for example over a corrupt
-    /// per-cluster history segment), so the shards are missing that
-    /// epoch's operations. The router refuses every further request
-    /// with the original failure rather than serve from silently
-    /// incomplete state; restart the service to rebuild from the WAL.
+    /// A sharded ingest epoch failed between the epoch advance and the
+    /// end of the shard fan-out (for example a failed WAL append or a
+    /// shard that is gone), so the shards are missing that epoch's
+    /// operations. The router refuses every further request with the
+    /// original failure rather than serve from silently incomplete
+    /// state; restart the service to recover from the newest snapshot
+    /// and the WAL.
     Wedged(String),
 }
 

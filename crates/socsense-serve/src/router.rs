@@ -32,6 +32,15 @@
 //! order, so the merge order is fixed too. Hence `Shards(1)`,
 //! `Shards(2)`, and `Shards(4)` produce `f64::to_bits`-identical
 //! answers.
+//!
+//! # Durability
+//!
+//! The router keeps each cluster's claim history in memory, stamped
+//! `(epoch, position)`. Its checkpoint is self-contained: every
+//! cluster's slice carries its membership, its estimator state and the
+//! stamps of the estimator's claims, from which recovery rebuilds the
+//! tracker and the histories. So each checkpoint truncates the WAL, and
+//! recovery is the newest snapshot plus the WAL tail after it.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -50,7 +59,7 @@ use crate::api::{
     ClusterAssignment, IngestAck, PersistConfig, ServeConfig, ServeError, ServeStats,
     ShardTopology, SourceRank,
 };
-use crate::durable::{DurableLog, HistoryBackend, HistoryEntry, RouterSnapshot};
+use crate::durable::{ClusterSnapshot, DurableLog, RouterSnapshot};
 use crate::service::{panic_message, Envelope, Request, Response, ServeHandle};
 use crate::shard::{
     ClusterAck, ClusterOp, LastRefit, ShardMsg, ShardQuery, ShardReply, ShardReturn, ShardWorker,
@@ -101,6 +110,10 @@ struct RecordedCluster {
     pending: usize,
 }
 
+/// One entry of a cluster's claim history: `(ingest epoch, position in
+/// that epoch's batch, the claim)`. The pair orders entries globally.
+type HistoryEntry = (u64, u32, TimedClaim);
+
 /// Groups a sorted cluster history back into its original ingest
 /// batches (one `Vec` per epoch, batch order preserved) so a rebuild
 /// replays the refit policy over the exact boundaries the live path saw.
@@ -117,6 +130,45 @@ fn history_batches(history: &[HistoryEntry]) -> Vec<Vec<TimedClaim>> {
         }
     }
     out
+}
+
+/// Rebuilds one checkpointed cluster's claim history from its stamps
+/// and its estimator's claims, mapped back to global ids. The tracker
+/// has already checked the member lists; this checks the rest of what
+/// a rebuild replays: the key, the stamps' order and count, and every
+/// claim's local ids.
+fn cluster_history(c: &ClusterSnapshot, seq: u64) -> Result<Vec<HistoryEntry>, String> {
+    if c.assertions.first() != Some(&c.key) {
+        return Err("key is not the smallest assertion".into());
+    }
+    if c.stamps.len() != c.stream.claims.len() {
+        return Err(format!(
+            "{} stamps for {} claims",
+            c.stamps.len(),
+            c.stream.claims.len()
+        ));
+    }
+    if !c.stamps.windows(2).all(|w| w[0] < w[1]) {
+        return Err("stamps are not strictly increasing".into());
+    }
+    if c.stamps.last().is_some_and(|&(epoch, _)| epoch > seq) {
+        return Err("a stamp is newer than the snapshot".into());
+    }
+    c.stamps
+        .iter()
+        .zip(&c.stream.claims)
+        .map(|(&(epoch, pos), claim)| {
+            let source = c.sources.get(claim.source as usize);
+            let assertion = c.assertions.get(claim.assertion as usize);
+            match (source, assertion) {
+                (Some(&s), Some(&j)) => Ok((epoch, pos, TimedClaim::new(s, j, claim.time))),
+                _ => Err(format!(
+                    "claim ({}, {}) is outside the cluster",
+                    claim.source, claim.assertion
+                )),
+            }
+        })
+        .collect()
 }
 
 /// A sharded drop-in for [`QueryService`](crate::QueryService): the
@@ -243,10 +295,6 @@ impl ShardedService {
         let router_depth = Arc::clone(&depth);
         let max_depth = config.max_queue_depth;
         let persist = config.persist.clone();
-        let history = match &persist {
-            Some(pcfg) => HistoryBackend::disk(&pcfg.data_dir.join("clusters"))?,
-            None => HistoryBackend::memory(),
-        };
         let (tx, rx) = mpsc::channel::<Envelope>();
         let mut router = Router {
             cfg: config,
@@ -255,7 +303,7 @@ impl ShardedService {
             total_claims: 0,
             requests_served: 0,
             recorded: BTreeMap::new(),
-            history,
+            history: BTreeMap::new(),
             shard_tx,
             shard_depth,
             shard_workers,
@@ -264,6 +312,8 @@ impl ShardedService {
             depth: router_depth,
             durable: None,
             wedged: None,
+            #[cfg(test)]
+            fail_next_commit: false,
         };
         // Recovery runs here, on the caller thread, with the shards
         // already live (they receive the snapshot's cluster states and
@@ -353,10 +403,8 @@ struct Router {
     requests_served: u64,
     recorded: BTreeMap<u32, RecordedCluster>,
     /// Per-cluster claim history in `(epoch, position)` order — the
-    /// replay source for membership-change rebuilds. In-memory without
-    /// persistence; spilled to per-cluster segment files under
-    /// `<data_dir>/clusters/` with it.
-    history: HistoryBackend,
+    /// replay source for membership-change rebuilds.
+    history: BTreeMap<u32, Vec<HistoryEntry>>,
     shard_tx: Vec<Sender<ShardMsg>>,
     shard_depth: Vec<Arc<AtomicUsize>>,
     shard_workers: Vec<JoinHandle<()>>,
@@ -365,12 +413,16 @@ struct Router {
     depth: Arc<AtomicUsize>,
     /// Durability engine, when [`ServeConfig::persist`] is set.
     durable: Option<DurableLog>,
-    /// Set when an ingest epoch failed after the WAL append but before
-    /// the shard fan-out completed: the shards are missing that
+    /// Set when an ingest epoch failed after the epoch advance but
+    /// before the shard fan-out completed: the shards are missing that
     /// epoch's cluster operations, so every later request fails fast
     /// with this message instead of serving silently incomplete state.
-    /// A restart clears the wedge by rebuilding from the WAL.
+    /// A restart clears the wedge by recovering from the snapshot and
+    /// the WAL.
     wedged: Option<String>,
+    /// Test hook: fail the next ingest right after its WAL append.
+    #[cfg(test)]
+    fail_next_commit: bool,
 }
 
 impl Router {
@@ -469,6 +521,11 @@ impl Router {
                 let _ = release.recv();
                 Ok(Response::Stats(self.stats_snapshot()?))
             }
+            #[cfg(test)]
+            Request::FailNextCommit => {
+                self.fail_next_commit = true;
+                Ok(Response::Stats(self.stats_snapshot()?))
+            }
         }
     }
 
@@ -489,15 +546,15 @@ impl Router {
         self.epoch += 1;
         // Everything between the epoch advance and the drain barrier
         // must either complete or wedge the router: a failure in here
-        // (a corrupt history segment, a dead WAL) means the shards
+        // (a dead WAL, a broken shard channel) means the shards
         // never received this epoch's cluster operations, so carrying
         // on would serve from silently incomplete state — exactly the
         // truncation-without-telling-anyone failure the durability
         // layer exists to rule out. On failure the router broadcasts
         // bare epoch markers (keeping the fleet's epochs aligned so
         // the drain protocol still works), records the wedge, and
-        // fails every later request fast until a restart rebuilds the
-        // histories from the WAL.
+        // fails every later request fast until a restart recovers from
+        // the snapshot and the WAL.
         let returns = match self.commit_batch(&batch, &update, log) {
             Ok(returns) => returns,
             Err(e) => {
@@ -536,10 +593,9 @@ impl Router {
     }
 
     /// The wedge-guarded half of one ingest epoch: WAL append, history
-    /// advance, cluster-operation build (including history reads for
-    /// rebuilds), and the shard fan-out. Runs with the epoch already
-    /// advanced; [`Router::ingest_impl`] wedges the router if any step
-    /// fails.
+    /// advance, cluster-operation build, and the shard fan-out. Runs
+    /// with the epoch already advanced; [`Router::ingest_impl`] wedges
+    /// the router if any step fails.
     fn commit_batch(
         &mut self,
         batch: &[TimedClaim],
@@ -555,10 +611,16 @@ impl Router {
                 d.append(epoch, batch, &obs)?;
             }
         }
+        #[cfg(test)]
+        if std::mem::take(&mut self.fail_next_commit) {
+            return Err(ServeError::Persist(
+                "injected fault after the WAL append".into(),
+            ));
+        }
         self.total_claims += batch.len();
         self.obs.gauge("serve.router.epoch", self.epoch as f64);
 
-        let (per_key, merged_into) = self.advance_history(self.epoch, batch, &update.removed)?;
+        let (per_key, merged_into) = self.advance_history(batch, &update.removed)?;
 
         // Cluster operations, grouped per shard in ascending key order.
         let mut ops: BTreeMap<usize, Vec<ClusterOp>> = BTreeMap::new();
@@ -591,7 +653,7 @@ impl Router {
                     key,
                     sources: members.sources().to_vec(),
                     assertions: members.assertions().to_vec(),
-                    batches: history_batches(&self.history.read(key)?),
+                    batches: history_batches(self.history.get(&key).map_or(&[], Vec::as_slice)),
                 }
             } else {
                 ClusterOp::Append {
@@ -626,20 +688,22 @@ impl Router {
     #[allow(clippy::type_complexity)]
     fn advance_history(
         &mut self,
-        epoch: u64,
         batch: &[TimedClaim],
         removed: &[u32],
     ) -> Result<(BTreeMap<u32, Vec<(u32, TimedClaim)>>, BTreeSet<u32>), ServeError> {
         let mut merged_into: BTreeSet<u32> = BTreeSet::new();
         for &gone in removed {
-            if let Some(src) = self.history.remove(gone)? {
+            if let Some(src) = self.history.remove(&gone) {
                 let winner = self
                     .tracker
                     .cluster_key_of(src[0].2.assertion)
                     .ok_or(ServeError::Protocol("merged cluster has no live key"))?;
-                // (epoch, position) pairs are unique, so the backend's
-                // merge is a deterministic merge of two sorted runs.
-                self.history.merge(winner, src)?;
+                // (epoch, position) pairs are unique, so sorting the
+                // concatenation is a deterministic merge of two sorted
+                // runs.
+                let dst = self.history.entry(winner).or_default();
+                dst.extend(src);
+                dst.sort_unstable_by_key(|&(seq, pos, _)| (seq, pos));
                 merged_into.insert(winner);
             }
         }
@@ -655,9 +719,10 @@ impl Router {
             per_key.entry(key).or_default().push((pos as u32, claim));
         }
         for (&key, positioned) in &per_key {
-            let entries: Vec<HistoryEntry> =
-                positioned.iter().map(|&(pos, c)| (epoch, pos, c)).collect();
-            self.history.append(key, &entries)?;
+            self.history
+                .entry(key)
+                .or_default()
+                .extend(positioned.iter().map(|&(pos, c)| (self.epoch, pos, c)));
         }
         Ok((per_key, merged_into))
     }
@@ -696,10 +761,10 @@ impl Router {
     }
 
     /// Writes a router checkpoint when the configured cadence is due:
-    /// every cluster's state is exported from its owning shard and
-    /// written alongside the router counters. The WAL is kept — the
-    /// full batch sequence is the membership dry-replay source at
-    /// recovery.
+    /// every cluster's state is exported from its owning shard, stamped
+    /// with its history's `(epoch, position)` pairs, and written
+    /// alongside the router counters. The checkpoint is self-contained,
+    /// so the WAL is truncated after it.
     fn maybe_snapshot(&mut self) -> Result<(), ServeError> {
         let due = self
             .durable
@@ -716,6 +781,18 @@ impl Router {
             clusters.extend(list);
         }
         clusters.sort_by_key(|c| c.key);
+        for c in &mut clusters {
+            let history = self.history.get(&c.key).map_or(&[][..], Vec::as_slice);
+            if history.len() != c.stream.claims.len() {
+                return Err(ServeError::Protocol(
+                    "cluster history and estimator claim log differ in length",
+                ));
+            }
+            c.stamps = history
+                .iter()
+                .map(|&(epoch, pos, _)| (epoch, pos))
+                .collect();
+        }
         let snap = RouterSnapshot {
             epoch: self.epoch,
             total_claims: self.total_claims,
@@ -725,79 +802,21 @@ impl Router {
         let epoch = self.epoch;
         let obs = self.obs.clone();
         if let Some(d) = &mut self.durable {
-            d.write_snapshot(epoch, &snap, false, &obs)?;
+            d.write_snapshot(epoch, &snap, &obs)?;
         }
         Ok(())
     }
 
     /// Restores whatever a previous service left under the data
-    /// directory, in three phases: (1) dry-replay the WAL up to the
-    /// checkpoint to rebuild the cluster tracker and the per-cluster
-    /// history segments (membership is a pure function of the batch
-    /// sequence — the union-find is never serialized); (2) install the
-    /// checkpoint — router counters, the recorded-cluster map, and a
-    /// `Restore` fan-out shipping each cluster's state to whichever
-    /// shard the rendezvous hash picks *now*, so restarting with a
-    /// different shard count is just a cluster move; (3) replay the
-    /// WAL tail through the normal ingest path.
+    /// directory: install the newest checkpoint (see
+    /// [`restore`](Self::restore)), then replay the WAL tail through the
+    /// normal ingest path.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
         let (log, recovered) = DurableLog::open::<RouterSnapshot>(pcfg, &self.obs)?;
-        // Segments are a rebuildable cache of the WAL: start clean.
-        self.history.wipe()?;
-        let since = recovered.snapshot.as_ref().map_or(0, |(seq, _)| *seq);
-        for record in recovered.records.iter().filter(|r| r.seq <= since) {
-            if record.seq != self.epoch + 1 {
-                return Err(ServeError::Persist(format!(
-                    "WAL gap: expected batch {}, found {}",
-                    self.epoch + 1,
-                    record.seq
-                )));
-            }
-            let update = self.tracker.ingest(&record.claims)?;
-            self.epoch = record.seq;
-            self.advance_history(record.seq, &record.claims, &update.removed)?;
+        if let Some((seq, snap)) = recovered.snapshot {
+            self.restore(seq, snap)?;
         }
-        if let Some((_, snap)) = recovered.snapshot {
-            if snap.epoch != self.epoch {
-                return Err(ServeError::Persist(format!(
-                    "WAL ends at batch {} but the snapshot covers {}",
-                    self.epoch, snap.epoch
-                )));
-            }
-            self.total_claims = snap.total_claims;
-            self.requests_served = snap.requests_served;
-            let mut ops: BTreeMap<usize, Vec<ClusterOp>> = BTreeMap::new();
-            for cluster in snap.clusters {
-                let shard = rendezvous_shard(cluster.key, self.shard_tx.len());
-                self.recorded.insert(
-                    cluster.key,
-                    RecordedCluster {
-                        shard,
-                        n_sources: cluster.sources.len(),
-                        n_assertions: cluster.assertions.len(),
-                        pending: cluster.pending,
-                    },
-                );
-                ops.entry(shard)
-                    .or_default()
-                    .push(ClusterOp::Restore(Box::new(cluster)));
-            }
-            for ret in self.dispatch_ops(ops)? {
-                for ack in ret.payload? {
-                    if let Some(e) = ack.error {
-                        return Err(ServeError::Sense(e));
-                    }
-                }
-            }
-        }
-        for record in recovered.records.into_iter().filter(|r| r.seq > since) {
-            if record.seq != self.epoch + 1 {
-                return Err(ServeError::Persist(format!(
-                    "WAL gap: expected batch {}, found {}",
-                    self.epoch + 1,
-                    record.seq
-                )));
-            }
+        for record in recovered.tail {
             // Refit errors during replay mirror the live path: the
             // original run surfaced them to the client and kept the
             // claims ingested. Anything else is fatal.
@@ -807,6 +826,77 @@ impl Router {
             }
         }
         self.durable = Some(log);
+        Ok(())
+    }
+
+    /// Installs checkpoint `seq`: router counters, the cluster tracker
+    /// rebuilt from the clusters' member lists, each cluster's claim
+    /// history rebuilt from its stamps and its estimator's claims, and
+    /// a `Restore` fan-out shipping each cluster's state to whichever
+    /// shard the rendezvous hash picks *now* — so restarting with a
+    /// different shard count is just a cluster move.
+    ///
+    /// The snapshot comes from disk, so everything the router relies on
+    /// is checked first: ids in range, clusters disjoint, each key the
+    /// cluster's smallest assertion, and stamps strictly increasing and
+    /// as many as the claims.
+    fn restore(&mut self, seq: u64, snap: RouterSnapshot) -> Result<(), ServeError> {
+        let bad = |what: String| ServeError::Persist(format!("snapshot {seq}: {what}"));
+        if snap.epoch != seq {
+            return Err(bad(format!("covers batch {}", snap.epoch)));
+        }
+        let tracker = ClusterTracker::from_clusters(
+            self.tracker.source_count(),
+            self.tracker.assertion_count(),
+            self.tracker.graph().clone(),
+            snap.clusters
+                .iter()
+                .map(|c| (c.sources.as_slice(), c.assertions.as_slice())),
+        )
+        .map_err(|e| bad(e.to_string()))?;
+        let mut history = BTreeMap::new();
+        for c in &snap.clusters {
+            history.insert(
+                c.key,
+                cluster_history(c, seq)
+                    .map_err(|what| bad(format!("cluster {}: {what}", c.key)))?,
+            );
+        }
+        let claims: usize = history.values().map(Vec::len).sum();
+        if claims != snap.total_claims {
+            return Err(bad(format!(
+                "clusters hold {claims} claims, the counter says {}",
+                snap.total_claims
+            )));
+        }
+        self.tracker = tracker;
+        self.history = history;
+        self.epoch = snap.epoch;
+        self.total_claims = snap.total_claims;
+        self.requests_served = snap.requests_served;
+        let mut ops: BTreeMap<usize, Vec<ClusterOp>> = BTreeMap::new();
+        for cluster in snap.clusters {
+            let shard = rendezvous_shard(cluster.key, self.shard_tx.len());
+            self.recorded.insert(
+                cluster.key,
+                RecordedCluster {
+                    shard,
+                    n_sources: cluster.sources.len(),
+                    n_assertions: cluster.assertions.len(),
+                    pending: cluster.pending,
+                },
+            );
+            ops.entry(shard)
+                .or_default()
+                .push(ClusterOp::Restore(Box::new(cluster)));
+        }
+        for ret in self.dispatch_ops(ops)? {
+            for ack in ret.payload? {
+                if let Some(e) = ack.error {
+                    return Err(ServeError::Sense(e));
+                }
+            }
+        }
         Ok(())
     }
 
@@ -1165,5 +1255,165 @@ mod tests {
         assert!(held.recv().unwrap().is_ok());
         assert!(parked.recv().unwrap().is_ok());
         svc.shutdown().unwrap();
+    }
+
+    const N: u32 = 4;
+    const M: u32 = 4;
+
+    fn tmp_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("socsense-router-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    fn persisted(dir: &std::path::Path, snapshot_every: usize) -> ServeConfig {
+        ServeConfig {
+            persist: Some(PersistConfig {
+                data_dir: dir.to_path_buf(),
+                fsync_every: 1,
+                snapshot_every,
+            }),
+            ..ServeConfig::default()
+        }
+    }
+
+    /// Source 1 follows source 0, so claims by 0 pull 1 into their
+    /// cluster.
+    fn graph() -> FollowerGraph {
+        let mut g = FollowerGraph::new(N);
+        g.add_follow(1, 0);
+        g
+    }
+
+    /// Batch 1 forms clusters 0 (sources 0, 1) and 2 (source 2); batch 2
+    /// grows cluster 0, forcing a rebuild from its history; batch 3
+    /// grows cluster 2.
+    fn batches() -> [Vec<TimedClaim>; 3] {
+        let c = TimedClaim::new;
+        [
+            vec![c(0, 0, 1), c(0, 0, 2), c(2, 2, 3)],
+            vec![c(3, 0, 10)],
+            vec![c(1, 3, 20), c(2, 1, 21)],
+        ]
+    }
+
+    fn answers(client: &ServeHandle) -> (Vec<u64>, Vec<(u32, u64)>, u64) {
+        let posteriors = client.posteriors().unwrap();
+        let top = client.top_sources(N as usize).unwrap();
+        let bound = client.bound(vec![], None).unwrap();
+        (
+            posteriors.iter().map(|p| p.to_bits()).collect(),
+            top.iter()
+                .map(|r| (r.source, r.precision.to_bits()))
+                .collect(),
+            bound.error.to_bits(),
+        )
+    }
+
+    #[test]
+    fn a_failed_commit_wedges_loudly_and_a_restart_recovers_it() {
+        let dir = tmp_dir("wedge");
+        let [first, growth, last] = batches();
+        // Snapshot every batch: the restart restores batch 1's
+        // checkpoint and replays the logged growth batch from the WAL
+        // tail, rebuilding cluster 0 from the restored history.
+        let svc = ShardedService::spawn(N, M, graph(), persisted(&dir, 1), 2).unwrap();
+        let client = svc.handle();
+        client.ingest(first.clone()).unwrap();
+        assert!(client
+            .raw_send(Request::FailNextCommit)
+            .recv()
+            .unwrap()
+            .is_ok());
+        match client.ingest(growth.clone()) {
+            Err(ServeError::Persist(why)) => assert!(why.contains("injected fault"), "{why}"),
+            other => panic!("expected the injected Persist error, got {other:?}"),
+        }
+
+        // The failed epoch's cluster operations never reached the
+        // shards: every later request fails fast, naming the cause.
+        for result in [
+            client.posteriors().map(|_| ()),
+            client.ingest(last.clone()).map(|_| ()),
+        ] {
+            match result {
+                Err(e @ ServeError::Wedged(_)) => {
+                    assert!(e.to_string().contains("injected fault"), "{e}")
+                }
+                other => panic!("expected Wedged, got {other:?}"),
+            }
+        }
+
+        // Shutdown drains: a request queued ahead of it is answered.
+        let queued = client.raw_send(Request::Posterior(0));
+        svc.shutdown().unwrap();
+        assert!(matches!(queued.recv().unwrap(), Err(ServeError::Wedged(_))));
+
+        // The WAL logged the growth batch before the fault, so the
+        // restart matches a control that ingested both batches.
+        let recovered = ShardedService::spawn(N, M, graph(), persisted(&dir, 1), 2).unwrap();
+        let control = ShardedService::spawn(N, M, graph(), ServeConfig::default(), 2).unwrap();
+        let (r, c) = (recovered.handle(), control.handle());
+        c.ingest(first).unwrap();
+        c.ingest(growth).unwrap();
+        assert_eq!(answers(&r), answers(&c));
+        assert_eq!(r.stats().unwrap().total_claims, 4);
+        assert_eq!(r.ingest(last.clone()).unwrap(), c.ingest(last).unwrap());
+        assert_eq!(answers(&r), answers(&c));
+        recovered.shutdown().unwrap();
+        control.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_snapshot_that_fails_its_checks_is_refused_loudly() {
+        let dir = tmp_dir("tamper");
+        let [first, growth, _] = batches();
+        let svc = ShardedService::spawn(N, M, graph(), persisted(&dir, 2), 2).unwrap();
+        let client = svc.handle();
+        client.ingest(first).unwrap();
+        client.ingest(growth).unwrap();
+        svc.shutdown().unwrap();
+
+        // The checkpoint at batch 2 absorbed the whole WAL, so recovery
+        // reads nothing but the snapshot. Each tampered copy below
+        // carries a valid CRC: only the router's own checks stand
+        // between it and the served state.
+        let mut store = socsense_persist::SnapshotStore::open(&dir.join("snapshots")).unwrap();
+        let (seq, pristine) = store.latest::<RouterSnapshot>().unwrap().unwrap();
+        assert_eq!(seq, 2);
+        assert_eq!(pristine.clusters.len(), 2);
+        type Tamper = fn(&mut RouterSnapshot);
+        let cases: [(&str, Tamper); 8] = [
+            ("covers batch", |s| s.epoch += 1),
+            ("stamps for", |s| {
+                s.clusters[0].stamps.pop();
+            }),
+            ("strictly increasing", |s| s.clusters[0].stamps.reverse()),
+            ("newer than the snapshot", |s| s.clusters[1].stamps[0].0 = 3),
+            ("smallest assertion", |s| s.clusters[1].key = 3),
+            ("share an assertion", |s| {
+                s.clusters[1].assertions = s.clusters[0].assertions.clone()
+            }),
+            ("source id vs n", |s| s.clusters[1].sources.push(N)),
+            ("outside the cluster", |s| {
+                s.clusters[1].stream.claims[0].assertion = 1
+            }),
+        ];
+        for (want, tamper) in cases {
+            let (_, mut snap) = store.latest::<RouterSnapshot>().unwrap().unwrap();
+            tamper(&mut snap);
+            store.write(seq, &snap).unwrap();
+            match ShardedService::spawn(N, M, graph(), persisted(&dir, 2), 2) {
+                Err(ServeError::Persist(why)) => assert!(why.contains(want), "{want}: {why}"),
+                other => panic!("{want}: expected a Persist error, got {other:?}"),
+            }
+            store.write(seq, &pristine).unwrap();
+        }
+        let restored = ShardedService::spawn(N, M, graph(), persisted(&dir, 2), 2).unwrap();
+        assert_eq!(restored.handle().stats().unwrap().total_claims, 4);
+        restored.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

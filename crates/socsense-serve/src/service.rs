@@ -60,6 +60,10 @@ pub(crate) enum Request {
         ack: Sender<()>,
         release: Receiver<()>,
     },
+    /// Test hook: make the sharded router's next ingest fail right after
+    /// its WAL append (exercises the wedge).
+    #[cfg(test)]
+    FailNextCommit,
 }
 
 impl Request {
@@ -79,6 +83,8 @@ impl Request {
             Request::InjectPanic => "inject_panic",
             #[cfg(test)]
             Request::Park { .. } => "park",
+            #[cfg(test)]
+            Request::FailNextCommit => "fail_next_commit",
         }
     }
 }
@@ -473,7 +479,6 @@ impl Worker {
     /// state.
     fn recover(&mut self, pcfg: &PersistConfig) -> Result<(), ServeError> {
         let (log, recovered) = DurableLog::open::<WorkerSnapshot>(pcfg, &self.obs)?;
-        let mut since = 0;
         if let Some((seq, snap)) = recovered.snapshot {
             self.est.restore_state(&snap.stream)?;
             self.chain_fit = match &snap.chain_fit {
@@ -482,19 +487,8 @@ impl Worker {
             };
             self.stats = snap.stats;
             self.seq = seq;
-            since = seq;
         }
-        for record in recovered.records {
-            if record.seq <= since {
-                continue;
-            }
-            if record.seq != self.seq + 1 {
-                return Err(ServeError::Persist(format!(
-                    "WAL gap: expected batch {}, found {}",
-                    self.seq + 1,
-                    record.seq
-                )));
-            }
+        for record in recovered.tail {
             self.seq = record.seq;
             self.est.ingest(&record.claims)?;
             // Refit errors during replay mirror the live path: the
@@ -618,6 +612,10 @@ impl Worker {
                 let _ = release.recv();
                 Ok(Response::Stats(self.stats_snapshot()))
             }
+            #[cfg(test)]
+            Request::FailNextCommit => Err(ServeError::Protocol(
+                "commit faults are only injected into the sharded tier",
+            )),
         }
     }
 
@@ -663,7 +661,7 @@ impl Worker {
         let seq = self.seq;
         let obs = self.obs.clone();
         if let Some(d) = &mut self.durable {
-            d.write_snapshot(seq, &snap, true, &obs)?;
+            d.write_snapshot(seq, &snap, &obs)?;
         }
         Ok(())
     }

@@ -282,55 +282,54 @@ impl ShardWorker {
         acks
     }
 
+    /// An empty slot over the compacted world of a cluster with the
+    /// given members, its estimator configured like every other slot.
+    fn fresh_slot(
+        &self,
+        sources: &[u32],
+        assertions: &[u32],
+        counters: SlotCounters,
+    ) -> Result<ClusterSlot, SenseError> {
+        let world = ClusterWorld::new(sources, assertions, &self.graph)?;
+        let mut est = world.estimator(self.cfg.em)?;
+        est.set_warm_blend(self.cfg.warm_blend)?;
+        est.set_refit_mode(self.cfg.refit_mode)?;
+        est.set_obs(self.obs.clone());
+        Ok(ClusterSlot {
+            world,
+            est,
+            chain_fit: None,
+            probe_fit: None,
+            counters,
+            last_refit: None,
+        })
+    }
+
     /// Installs a cluster from its checkpoint slice: same construction
     /// path as [`build`](Self::build), but the estimator state, chain
     /// fit, and counters come bit-exact from the snapshot instead of a
     /// history replay.
     fn restore(&mut self, snap: ClusterSnapshot) -> ClusterAck {
         let key = snap.key;
-        let fail = |e: SenseError| ClusterAck {
-            key,
-            pending: 0,
-            refitted: false,
-            error: Some(e),
+        let installed = self
+            .fresh_slot(&snap.sources, &snap.assertions, snap.counters)
+            .and_then(|mut slot| {
+                slot.est.restore_state(&snap.stream)?;
+                slot.chain_fit = snap
+                    .chain_fit
+                    .as_ref()
+                    .map(EmFitBits::to_fit)
+                    .transpose()?
+                    .map(Arc::new);
+                slot.last_refit = snap.last_refit;
+                Ok(slot)
+            });
+        let slot = match installed {
+            Ok(slot) => slot,
+            Err(e) => return failed_ack(key, e),
         };
-        let world = match ClusterWorld::new(&snap.sources, &snap.assertions, &self.graph) {
-            Ok(w) => w,
-            Err(e) => return fail(e),
-        };
-        let mut est = match world.estimator(self.cfg.em) {
-            Ok(e) => e,
-            Err(e) => return fail(e),
-        };
-        if let Err(e) = est.set_warm_blend(self.cfg.warm_blend) {
-            return fail(e);
-        }
-        if let Err(e) = est.set_refit_mode(self.cfg.refit_mode) {
-            return fail(e);
-        }
-        est.set_obs(self.obs.clone());
-        if let Err(e) = est.restore_state(&snap.stream) {
-            return fail(e);
-        }
-        let chain_fit = match &snap.chain_fit {
-            Some(bits) => match bits.to_fit() {
-                Ok(fit) => Some(Arc::new(fit)),
-                Err(e) => return fail(e),
-            },
-            None => None,
-        };
-        let pending = est.pending();
-        self.clusters.insert(
-            key,
-            ClusterSlot {
-                world,
-                est,
-                chain_fit,
-                probe_fit: None,
-                counters: snap.counters,
-                last_refit: snap.last_refit,
-            },
-        );
+        let pending = slot.est.pending();
+        self.clusters.insert(key, slot);
         ClusterAck {
             key,
             pending,
@@ -352,38 +351,14 @@ impl ShardWorker {
         batches: &[Vec<TimedClaim>],
     ) -> ClusterAck {
         let preserved = self.clusters.remove(&key).map(|s| s.counters);
-        let fail = |e: SenseError| ClusterAck {
-            key,
-            pending: 0,
-            refitted: false,
-            error: Some(e),
+        let counters = SlotCounters {
+            probe_refits: preserved.map_or(0, |c| c.probe_refits),
+            probe_cache_hits: preserved.map_or(0, |c| c.probe_cache_hits),
+            ..SlotCounters::default()
         };
-        let world = match ClusterWorld::new(sources, assertions, &self.graph) {
-            Ok(w) => w,
-            Err(e) => return fail(e),
-        };
-        let mut est = match world.estimator(self.cfg.em) {
-            Ok(e) => e,
-            Err(e) => return fail(e),
-        };
-        if let Err(e) = est.set_warm_blend(self.cfg.warm_blend) {
-            return fail(e);
-        }
-        if let Err(e) = est.set_refit_mode(self.cfg.refit_mode) {
-            return fail(e);
-        }
-        est.set_obs(self.obs.clone());
-        let mut slot = ClusterSlot {
-            world,
-            est,
-            chain_fit: None,
-            probe_fit: None,
-            counters: SlotCounters {
-                probe_refits: preserved.map_or(0, |c| c.probe_refits),
-                probe_cache_hits: preserved.map_or(0, |c| c.probe_cache_hits),
-                ..SlotCounters::default()
-            },
-            last_refit: None,
+        let mut slot = match self.fresh_slot(sources, assertions, counters) {
+            Ok(slot) => slot,
+            Err(e) => return failed_ack(key, e),
         };
         let mut first_error = None;
         let mut last_refitted = false;
@@ -414,12 +389,7 @@ impl ShardWorker {
     fn append(&mut self, key: u32, claims: &[TimedClaim]) -> ClusterAck {
         let epoch = self.epoch;
         let Some(slot) = self.clusters.get_mut(&key) else {
-            return ClusterAck {
-                key,
-                pending: 0,
-                refitted: false,
-                error: Some(SenseError::EmptyData),
-            };
+            return failed_ack(key, SenseError::EmptyData);
         };
         let (refitted, error) = ingest_batch(
             slot,
@@ -532,6 +502,9 @@ impl ShardWorker {
                         sources: slot.world.global_sources().to_vec(),
                         assertions: slot.world.global_assertions().to_vec(),
                         pending: slot.est.pending(),
+                        // The router owns the history; it stamps the
+                        // slice before writing it.
+                        stamps: Vec::new(),
                         stream: slot.est.export_state(),
                         chain_fit: slot.chain_fit.as_deref().map(EmFitBits::from_fit),
                         counters: slot.counters,
@@ -541,6 +514,16 @@ impl ShardWorker {
                 Ok(ShardReply::Export(out))
             }
         }
+    }
+}
+
+/// The ack of a cluster operation that failed before any claim landed.
+fn failed_ack(key: u32, error: SenseError) -> ClusterAck {
+    ClusterAck {
+        key,
+        pending: 0,
+        refitted: false,
+        error: Some(error),
     }
 }
 

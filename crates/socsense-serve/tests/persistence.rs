@@ -308,3 +308,139 @@ fn sharded_restart_with_different_shard_count_is_bit_identical() {
     control.shutdown().unwrap();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// One claim per batch, chosen so the clusters grow and merge: batches
+/// 1–3 form clusters 0 (sources 0, 1, 2), 5 (sources 4, 5) and 3
+/// (source 3); batch 4 grows cluster 0, batch 5 grows cluster 5, and
+/// batch 6 merges cluster 3 into cluster 0.
+fn growth_batches() -> Vec<Vec<TimedClaim>> {
+    [(0, 0), (4, 5), (3, 3), (0, 1), (4, 6), (3, 0)]
+        .iter()
+        .enumerate()
+        .map(|(t, &(s, j))| vec![TimedClaim::new(s, j, t as u64 + 1)])
+        .collect()
+}
+
+/// The `seq` of every record in the WAL under `dir`.
+fn wal_seqs(dir: &Path) -> Vec<u64> {
+    let text = std::fs::read_to_string(dir.join("wal.jsonl")).unwrap();
+    text.lines()
+        .map(|line| {
+            let json = line.split_once(' ').unwrap().1;
+            let seq = json.split("\"seq\":").nth(1).unwrap();
+            seq.trim_end_matches('}').parse().unwrap()
+        })
+        .collect()
+}
+
+/// The router's checkpoint carries everything a rebuild replays: after
+/// a restart, batches that grow and merge restored clusters rebuild
+/// them from the restored histories, bit-identically to a service that
+/// never stopped — with a WAL that holds only the post-checkpoint tail
+/// and no history files beside it.
+#[test]
+fn sharded_rebuild_after_restart_replays_the_restored_history() {
+    let base = ServeConfig::default();
+    let dir = tmp_dir("rebuild");
+    let batches = growth_batches();
+    let (before, after) = batches.split_at(5);
+
+    let a = ShardedService::spawn(N, M, follow_graph(), persisted(&base, &dir, 4), 2).unwrap();
+    let client = a.handle();
+    for batch in before {
+        client.ingest(batch.clone()).unwrap();
+    }
+    a.shutdown().unwrap();
+    assert_eq!(wal_seqs(&dir), [5], "the checkpoint at 4 truncated the WAL");
+    assert!(!dir.join("clusters").exists(), "no history spill on disk");
+
+    let control = ShardedService::spawn(N, M, follow_graph(), base.clone(), 1).unwrap();
+    let control_client = control.handle();
+    for batch in before {
+        control_client.ingest(batch.clone()).unwrap();
+    }
+    let b = ShardedService::spawn(N, M, follow_graph(), persisted(&base, &dir, 4), 2).unwrap();
+    let b_client = b.handle();
+    let recovered = b_client.metrics().unwrap();
+    assert_eq!(recovered.counter("serve.snapshot.restores_total"), 1);
+    assert_eq!(recovered.counter("serve.wal.recovered_batches_total"), 1);
+    assert_eq!(fingerprint(&b_client), fingerprint(&control_client));
+
+    let rebuilds_before = b_client
+        .metrics()
+        .unwrap()
+        .counter("serve.router.rebuilds_total");
+    for batch in after {
+        let want = control_client.ingest(batch.clone()).unwrap();
+        assert_eq!(b_client.ingest(batch.clone()).unwrap(), want);
+    }
+    let rebuilds = b_client
+        .metrics()
+        .unwrap()
+        .counter("serve.router.rebuilds_total");
+    assert!(
+        rebuilds > rebuilds_before,
+        "the merge batch rebuilds a restored cluster ({rebuilds_before} -> {rebuilds})"
+    );
+    assert_eq!(fingerprint(&b_client), fingerprint(&control_client));
+    assert_eq!(b_client.topology().unwrap().clusters.len(), 2);
+
+    b.shutdown().unwrap();
+    control.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A crash after a checkpoint is written but before the WAL is
+/// truncated leaves records the checkpoint already covers. Recovery
+/// skips them and replays only the tail.
+#[test]
+fn sharded_restart_skips_wal_records_a_checkpoint_absorbed() {
+    let base = ServeConfig::default();
+    let dir = tmp_dir("untruncated");
+    let full_wal = tmp_dir("untruncated-wal");
+    let batches = random_batches(6, 10, 17, 0);
+    let more = random_batches(2, 10, 19, 5000);
+
+    // The same batches with and without checkpoints: the first leaves
+    // snapshot 4 and the tail [5, 6], the second a WAL of all six.
+    for (data_dir, snapshot_every) in [(&dir, 4), (&full_wal, 0)] {
+        let svc = ShardedService::spawn(
+            N,
+            M,
+            follow_graph(),
+            persisted(&base, data_dir, snapshot_every),
+            2,
+        )
+        .unwrap();
+        let client = svc.handle();
+        for batch in &batches {
+            client.ingest(batch.clone()).unwrap();
+        }
+        svc.shutdown().unwrap();
+    }
+    assert_eq!(wal_seqs(&dir), [5, 6]);
+    std::fs::copy(full_wal.join("wal.jsonl"), dir.join("wal.jsonl")).unwrap();
+    assert_eq!(wal_seqs(&dir), [1, 2, 3, 4, 5, 6]);
+
+    let control = ShardedService::spawn(N, M, follow_graph(), base.clone(), 1).unwrap();
+    let control_client = control.handle();
+    for batch in &batches {
+        control_client.ingest(batch.clone()).unwrap();
+    }
+    let b = ShardedService::spawn(N, M, follow_graph(), persisted(&base, &dir, 4), 3).unwrap();
+    let b_client = b.handle();
+    let recovered = b_client.metrics().unwrap();
+    assert_eq!(recovered.counter("serve.snapshot.restores_total"), 1);
+    assert_eq!(recovered.counter("serve.wal.recovered_batches_total"), 2);
+    assert_eq!(fingerprint(&b_client), fingerprint(&control_client));
+    for batch in &more {
+        let want = control_client.ingest(batch.clone()).unwrap();
+        assert_eq!(b_client.ingest(batch.clone()).unwrap(), want);
+        assert_eq!(fingerprint(&b_client), fingerprint(&control_client));
+    }
+
+    b.shutdown().unwrap();
+    control.shutdown().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&full_wal);
+}
